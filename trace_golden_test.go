@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fedsched/internal/data"
 	"fedsched/internal/device"
 	"fedsched/internal/fl"
 	"fedsched/internal/network"
@@ -195,6 +196,103 @@ func faultsGoldenTrace(t *testing.T) []trace.Event {
 	return rec.Events()
 }
 
+// fourClients builds the four-device FedAvg fixture the fault and
+// deadline scenarios share: an IID split of 240 SMNIST samples over a
+// Pixel 2, a Nexus 6P, a Mate 10 and a Nexus 6, all on WiFi.
+func fourClients(t *testing.T) ([]*fl.Client, *data.Dataset) {
+	t.Helper()
+	train, test := SMNIST(240, 3), SMNIST(120, 4)
+	part := PartitionIID(train, 4, 5)
+	devs := []*device.Device{
+		device.New(device.Pixel2()), device.New(device.Nexus6P()),
+		device.New(device.Mate10()), device.New(device.Nexus6()),
+	}
+	links := []network.Link{WiFi(), WiFi(), WiFi(), WiFi()}
+	clients, err := fl.BuildClients(devs, links, part.Materialize(train))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clients, test
+}
+
+// gossipFaultsGoldenTrace: four rounds of ring gossip under a fault plan
+// with a cooldown sampler — pins gossip's fatal-fault cost model (upload
+// truncated by a link flap), its makespan and straggler, and the failure
+// reports that bench a victim out of later cohorts.
+func gossipFaultsGoldenTrace(t *testing.T) []trace.Event {
+	t.Helper()
+	rec := NewTraceRecorder(0)
+	clients, test := fourClients(t)
+	plan, err := ParseFaultSpec("crash=0.2,battery=0.1,flap=0.2,corrupt=0.15,degrade=0.3,slow=3", 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fl.GossipConfig{Config: fl.Config{
+		Arch: LeNetSmall(1, 16, 16, 10), Rounds: 4, BatchSize: 20,
+		LR: 0.02, Momentum: 0.9, Seed: 1, Workers: -1,
+		Faults:  plan,
+		Sampler: NewCooldownSampler(NewUniformSampler(4, 4, 11), 1),
+		Trace:   rec,
+	}}
+	if _, err := fl.RunGossip(cfg, clients, test); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Events()
+}
+
+// populationFaultsGoldenTrace: three population rounds over a small fleet
+// (so cohorts overlap and the cooldown bites) with faults, a quorum cut
+// and a participation floor — pins the population close: faulted and late
+// slots, failed rounds, and cooldown-filtered cohorts.
+func populationFaultsGoldenTrace(t *testing.T) []trace.Event {
+	t.Helper()
+	rec := NewTraceRecorder(0)
+	plan, err := ParseFaultSpec("crash=0.25,battery=0.05,flap=0.15,corrupt=0.05,degrade=0.3,slow=4", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist, err := SimulatePopulation(fl.PopulationConfig{
+		Arch:            LeNetSmall(1, 16, 16, 10),
+		Population:      NewDevicePopulation(40, 42),
+		Sampler:         NewCooldownSampler(NewUniformSampler(40, 24, 42), 1),
+		Rounds:          3,
+		TotalShards:     120,
+		Faults:          plan,
+		Quorum:          6,
+		MinParticipants: 6,
+		Workers:         -1,
+		Trace:           rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hist.Rounds) != 3 {
+		t.Fatalf("implausible population history: %+v", hist.Rounds)
+	}
+	return rec.Events()
+}
+
+// deadlineGoldenTrace: FedAvg with a round deadline that drops the
+// slowest client, under a cooldown sampler — pins the deadline drop, the
+// makespan cap, and the failure report that benches the dropped client
+// from the next cohort.
+func deadlineGoldenTrace(t *testing.T) []trace.Event {
+	t.Helper()
+	rec := NewTraceRecorder(0)
+	clients, test := fourClients(t)
+	cfg := fl.Config{
+		Arch: LeNetSmall(1, 16, 16, 10), Rounds: 4, BatchSize: 20,
+		LR: 0.02, Momentum: 0.9, Seed: 1, EvalEvery: 1, Workers: -1,
+		DeadlineSeconds: 0.14,
+		Sampler:         NewCooldownSampler(NewUniformSampler(4, 4, 3), 1),
+		Trace:           rec,
+	}
+	if _, err := fl.Run(cfg, clients, test); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Events()
+}
+
 // TestGoldenTrace pins the full observability pipeline: fixed-seed runs
 // of the Fed-LBAP, Fed-MinAvg, Equal-baseline, 1M-client population and
 // fault-injection scenarios must keep producing the traces recorded
@@ -212,6 +310,9 @@ func TestGoldenTrace(t *testing.T) {
 		{"baseline", baselineGoldenTrace},
 		{"population", populationGoldenTrace},
 		{"faults", faultsGoldenTrace},
+		{"gossip_faults", gossipFaultsGoldenTrace},
+		{"population_faults", populationFaultsGoldenTrace},
+		{"deadline", deadlineGoldenTrace},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
