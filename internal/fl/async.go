@@ -76,6 +76,9 @@ type AsyncHistory struct {
 // ever merging (the trainer and RNG are untouched, exactly as in the
 // synchronous engine), and a corrupted upload is rejected at the server
 // without advancing the model version. Each costs one KindFault event.
+// The synchronous round-closing fields (Quorum, MinParticipants,
+// DeadlineSeconds) and checkpoint/resume are rejected: async has no
+// rounds to close.
 //
 // fedlint:deterministic
 // fedlint:trace KindMerge,KindFault
@@ -87,10 +90,16 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 	if err := cfg.Faults.Check(); err != nil {
 		return nil, fmt.Errorf("fl: %w", err)
 	}
+	if err := cfg.syncOnly("async"); err != nil {
+		return nil, err
+	}
+	// pos[i] is active[i]'s index in clients (and UpdatesPerClient).
 	active := make([]*Client, 0, len(clients))
-	for _, c := range clients {
+	pos := make([]int, 0, len(clients))
+	for i, c := range clients {
 		if c.Local != nil && c.Local.Len() > 0 {
 			active = append(active, c)
+			pos = append(pos, i)
 		}
 	}
 	if len(active) == 0 {
@@ -107,10 +116,11 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 			return nil, fmt.Errorf("fl: async sampler drew an empty cohort")
 		}
 		sub := make([]*Client, len(sel))
+		subPos := make([]int, len(sel))
 		for i, idx := range sel {
-			sub[i] = active[idx]
+			sub[i], subPos[i] = active[idx], pos[idx]
 		}
-		active = sub
+		active, pos = sub, subPos
 	}
 
 	rootRNG := rand.New(rand.NewSource(cfg.Seed))
@@ -159,23 +169,12 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 	outstanding := 0
 	var inflight sync.WaitGroup
 
-	// localEpoch runs one full local epoch on c starting from the pulled
-	// weights — the compute-heavy, side-effect-free-outside-c part of a
-	// cycle.
-	localEpoch := func(c *Client, pulled []*tensor.Tensor) {
+	// train runs c's local epoch from the pulled weights — the
+	// compute-heavy, side-effect-free-outside-c part of a cycle.
+	train := func(c *Client, pulled []*tensor.Tensor) {
 		c.net.SetWeights(pulled)
 		c.net.ResetOpt()
-		c.Local.Shuffle(c.rng)
-		n := c.Local.Len()
-		for i := 0; i < n; i += cfg.BatchSize {
-			end := i + cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			x, y := c.Local.Batch(i, end)
-			c.net.TrainBatch(x, y)
-			c.net.Step()
-		}
+		localEpoch(c.net, c.Local, c.rng, cfg.BatchSize)
 	}
 
 	// cycles counts each client's started iterations — the "round" key for
@@ -194,38 +193,25 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 		fcycle := cycles[ci]
 		cycles[ci]++
 		link := c.Link.Degraded(f.Slow)
-		if f.Kind == fault.Crash || f.Kind == fault.Battery || f.Kind == fault.LinkFlap {
-			// Fatal fault: the update is lost before it can merge, so the
-			// real gradient work is skipped (trainer and RNG untouched)
-			// and only the wasted virtual time and energy are simulated —
-			// then the client starts its next cycle, like a restarted app.
+		if aborted(f.Kind) {
+			// Aborted attempt: only the wasted virtual time and energy
+			// are simulated (faultCost, with the upload as the comm a
+			// flap truncates) — then the client starts its next cycle,
+			// like a restarted app.
 			commDown := link.DownloadTime(modelBytes)
 			engine.After(commDown, func() {
 				if done() {
 					return
 				}
 				n := c.Local.Len()
-				compute, energy, battery := 0.0, 0.0, 1.0
+				var e0 float64
 				if c.Device != nil {
-					e0 := c.Device.EnergyJ
-					if f.Kind == fault.LinkFlap {
-						// Full epoch computed; the link dies Point of the
-						// way through the upload.
-						compute, _ = c.Device.TrainSamples(cfg.Arch, n, cfg.BatchSize)
-					} else {
-						// Crash / battery death Point of the way through
-						// the shard.
-						compute, _ = c.Device.TrainSamples(cfg.Arch, int(f.Point*float64(n)), cfg.BatchSize)
-						if f.Kind == fault.Battery {
-							c.Device.DrainBattery()
-						}
-					}
-					energy = c.Device.EnergyJ - e0
-					battery = c.Device.BatteryRemaining()
+					e0 = c.Device.EnergyJ
 				}
-				commUp := 0.0
-				if f.Kind == fault.LinkFlap {
-					commUp = f.Point * link.UploadTime(modelBytes)
+				compute, commUp := faultCost(c.Device, cfg.Arch, n, cfg.BatchSize, f, link.UploadTime(modelBytes))
+				energy, battery := 0.0, 1.0
+				if c.Device != nil {
+					energy, battery = c.Device.EnergyJ-e0, c.Device.BatteryRemaining()
 				}
 				engine.After(compute+commUp, func() {
 					if done() {
@@ -256,7 +242,7 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 			inflight.Add(1)
 			go func() {
 				defer inflight.Done()
-				localEpoch(c, pulled)
+				train(c, pulled)
 				tensor.ReleaseLanes(1)
 				close(trained)
 			}()
@@ -272,7 +258,7 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 			}
 			if trained == nil {
 				// Sequential path: real gradient descent inline.
-				localEpoch(c, pulled)
+				train(c, pulled)
 			}
 			compute, energy, battery := 0.0, 0.0, 1.0
 			if c.Device != nil {
@@ -307,7 +293,7 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 				accumulateWeighted(globalW, c.net.Weights(), eta)
 				version++
 				hist.Updates++
-				hist.UpdatesPerClient[clientIndex(clients, c.ID)]++
+				hist.UpdatesPerClient[pos[ci]]++
 				stalenessSum += staleness
 				cfg.Trace.Emit(trace.Event{
 					Kind: trace.KindMerge, Round: hist.Updates - 1, Client: c.ID,

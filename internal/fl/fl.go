@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"fedsched/internal/data"
 	"fedsched/internal/device"
@@ -93,7 +92,7 @@ type Config struct {
 	// compute+comm time exceeds it from that round's aggregation — the
 	// hard straggler dropout of Bonawitz et al. [5] that the paper
 	// criticizes for "not attempting to make best use from their data"
-	// (§II-B). The round's makespan is then capped at the deadline.
+	// (§II-B). Run only; DESIGN §13 states the round-closing rule.
 	DeadlineSeconds float64
 	// LRSchedule, when set, overrides LR per round (see nn.StepDecayLR,
 	// nn.CosineLR).
@@ -125,33 +124,31 @@ type Config struct {
 	// Faults.Seed), so faulty runs stay bit-identical for any Workers.
 	Faults *fault.Plan
 	// Quorum, when positive, closes each round after the first Quorum
-	// surviving updates, ordered by realized round span (ties by client
-	// id). Later survivors are flagged late and their updates discarded
-	// — the over-selection pattern of production FL: draw
-	// ⌈S·(1+margin)⌉ clients with the Sampler and set Quorum = S, so
-	// stragglers and faults eat the margin instead of the round.
-	// Incompatible with SecureAgg (a discarded masked share is
-	// unrecoverable; see DESIGN).
+	// surviving updates and discards the late ones — the over-selection
+	// pattern of production FL: draw ⌈S·(1+margin)⌉ clients with the
+	// Sampler and set Quorum = S, so stragglers and faults eat the
+	// margin instead of the round. Run only, and incompatible with
+	// SecureAgg (a discarded masked share is unrecoverable); DESIGN §13
+	// states the round-closing rule.
 	Quorum int
 	// MinParticipants, when positive, is the round's participation
 	// floor: a round that aggregates fewer surviving updates is recorded
 	// as failed (RoundStats.Failed; the global model stands) instead of
-	// aborting the run. With the floor unset, a round with zero
-	// participants remains a run error (legacy behavior), except under a
-	// deadline or a fault plan, where wasted rounds are expected.
+	// aborting the run. Run only; DESIGN §13 says when a short round is
+	// failed and when it is a run error.
 	MinParticipants int
-	// CheckpointEvery, when positive with CheckpointSink set, snapshots
-	// the run every k completed rounds: the global model, every client's
-	// round/RNG position and device state, the sampler's cooldown state
-	// and the history so far. Resuming from the snapshot (Resume)
-	// reproduces the uninterrupted run bit-identically — history and
-	// trace — at any Workers value.
+	// CheckpointEvery, when positive with CheckpointSink set (Run
+	// only), snapshots the run every k completed rounds: the global
+	// model, every client's round/RNG position and device state, the
+	// sampler's cooldown state and the history so far. Resuming from
+	// the snapshot (Resume) reproduces the uninterrupted run
+	// bit-identically — history and trace — at any Workers value.
 	CheckpointEvery int
 	// CheckpointSink receives each snapshot; typically it serializes via
 	// Checkpoint.Save. A sink error aborts the run (returning the
 	// partial History).
 	CheckpointSink func(*Checkpoint) error
-	// Resume, when non-nil, restores a checkpointed run: the
+	// Resume, when non-nil (Run only), restores a checkpointed run: the
 	// configuration must match the checkpointed one (seed, rounds,
 	// clients), and the run continues from Checkpoint.NextRound.
 	Resume *Checkpoint
@@ -177,6 +174,19 @@ func (c Config) withDefaults() Config {
 		c.Rounds = 1
 	}
 	return c
+}
+
+// syncOnly rejects the fields only Run honours — the round-closing rule
+// and checkpoint/resume — so that the other engines refuse them instead
+// of silently ignoring them.
+func (c Config) syncOnly(engine string) error {
+	if c.Quorum > 0 || c.MinParticipants > 0 || c.DeadlineSeconds > 0 {
+		return fmt.Errorf("fl: %s: Quorum, MinParticipants and DeadlineSeconds apply only to Run", engine)
+	}
+	if c.CheckpointEvery > 0 || c.CheckpointSink != nil || c.Resume != nil {
+		return fmt.Errorf("fl: %s: CheckpointEvery, CheckpointSink and Resume apply only to Run", engine)
+	}
+	return nil
 }
 
 // ClientRound records one client's contribution to a round.
@@ -291,10 +301,14 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 	crs := make([]ClientRound, len(active))
 	spans := make([]float64, len(active))
 	diverged := make([]bool, len(active))
-	eligible := make([]int, 0, len(active))
+	participants := make([]*Client, 0, len(active))
+	sampleCounts := make([]int, 0, len(active))
 	clientTrace := attachClientTracers(cfg.Trace, active)
 	selIdent, selBuf, recsSel := samplerScratch(cfg.Sampler, len(active), clientTrace != nil)
-	rep, _ := cfg.Sampler.(sample.FailureReporter)
+	closer := newRoundCloser(len(active), cfg.Sampler)
+	rule := roundRule{deadline: cfg.DeadlineSeconds, quorum: cfg.Quorum, minParticipants: cfg.MinParticipants}
+	// A short round is Failed when the run expects attrition, else an error.
+	tolerant := cfg.DeadlineSeconds > 0 || cfg.MinParticipants > 0 || cfg.Faults.Active()
 	// sumW is the plaintext aggregation scratch, allocated once and
 	// reused (zeroed) every round instead of cloning per participant.
 	var sumW []*tensor.Tensor
@@ -379,122 +393,39 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 			i := sel[si]
 			f := cfg.Faults.Fault(round, active[i].ID)
 			crs[si] = active[i].trainRound(cfg, globalW, modelBytes, f)
-			// A fatally-faulted client never touched its trainer, so the
+			spans[si] = crs[si].ComputeS + crs[si].CommS
+			// An aborted client never touched its trainer, so the
 			// non-finite check would read stale weights.
 			diverged[si] = f.Kind == fault.None && active[i].net.HasNonFinite()
 		})
 
-		// Pass 1 — classify: faulted and diverged updates are out
-		// immediately; deadline overruns drop; the rest are candidates for
-		// the quorum cut.
-		eligible = eligible[:0]
-		for si := range sel {
-			cr := &crs[si]
-			if cr.Fault != fault.None {
-				continue
-			}
-			if diverged[si] {
-				cr.Diverged = true
-				continue
-			}
-			spans[si] = cr.ComputeS + cr.CommS
-			if cfg.DeadlineSeconds > 0 && spans[si] > cfg.DeadlineSeconds {
-				cr.Dropped = true
-				continue
-			}
-			eligible = append(eligible, si)
-		}
+		k := len(sel)
+		rc := closer.closeRound(round, crs[:k], spans[:k], diverged[:k], sel, rule)
+		stats.Makespan = rc.makespan
+		stats.Clients = append([]ClientRound(nil), crs[:k]...)
 
-		// Pass 2 — quorum: with over-selection, the round closes after the
-		// first Quorum survivors ordered by realized span (ties by client
-		// id — a strict total order, so the cut is deterministic). The
-		// rest finished too late and are discarded. Aggregation below must
-		// still run in cohort order for bit-identical float reduction, so
-		// the surviving indices are re-sorted ascending.
-		if cfg.Quorum > 0 && len(eligible) > cfg.Quorum {
-			sort.Slice(eligible, func(a, b int) bool {
-				sa, sb := eligible[a], eligible[b]
-				if spans[sa] < spans[sb] {
-					return true
-				}
-				if spans[sb] < spans[sa] {
-					return false
-				}
-				return crs[sa].ClientID < crs[sb].ClientID
-			})
-			for _, si := range eligible[cfg.Quorum:] {
-				crs[si].Late = true
+		if rc.short {
+			if !tolerant {
+				return finish(), fmt.Errorf("fl: round %d had no participants", round)
 			}
-			eligible = eligible[:cfg.Quorum]
-			sort.Ints(eligible)
+			// Nothing aggregates; the global model stands.
+			stats.Failed = true
+			stats.TrainLoss = math.NaN()
+			stats.Accuracy = -1
+			emitRoundTrace(cfg.Trace, roundRecs, stats, rc.straggler)
+			hist.Rounds = append(hist.Rounds, stats)
+			hist.TotalSeconds += stats.Makespan
+			if err := checkpointAfter(round); err != nil {
+				return finish(), fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
+			}
+			continue
 		}
-
-		// Pass 3 — reduce in cohort order, exactly the legacy loop with
-		// extra skip cases: faulted, diverged and late updates are
-		// recorded but never aggregate and (like diverged updates) do not
-		// extend the makespan — the server stops waiting the moment it
-		// learns the update is lost.
-		var (
-			total        int
-			lossSum      float64
-			participants []*Client
-			sampleCounts []int
-		)
-		straggler := -1
+		participants, sampleCounts = participants[:0], sampleCounts[:0]
 		for si, i := range sel {
-			c := active[i]
-			cr := crs[si]
-			stats.Clients = append(stats.Clients, cr)
-			if cr.Fault != fault.None || cr.Diverged || cr.Late {
-				continue
+			if crs[si].usable() {
+				participants = append(participants, active[i])
+				sampleCounts = append(sampleCounts, crs[si].Samples)
 			}
-			if cr.Dropped {
-				if cfg.DeadlineSeconds > stats.Makespan {
-					stats.Makespan = cfg.DeadlineSeconds
-				}
-				continue
-			}
-			if span := spans[si]; span > stats.Makespan {
-				stats.Makespan = span
-				straggler = c.ID
-			}
-			lossSum += cr.TrainLoss * float64(cr.Samples)
-			participants = append(participants, c)
-			sampleCounts = append(sampleCounts, cr.Samples)
-			total += cr.Samples
-		}
-
-		// Feed outcomes back to a failure-aware sampler (cohort order, on
-		// the engine goroutine — deterministic). Late survivors did finish,
-		// so they count as successes for backoff purposes.
-		if rep != nil {
-			for si, i := range sel {
-				cr := &crs[si]
-				if cr.Fault != fault.None || cr.Diverged || cr.Dropped {
-					rep.ReportFailure(i, round)
-				} else {
-					rep.ReportSuccess(i)
-				}
-			}
-		}
-
-		if total == 0 || (cfg.MinParticipants > 0 && len(participants) < cfg.MinParticipants) {
-			if cfg.DeadlineSeconds > 0 || cfg.MinParticipants > 0 || cfg.Faults.Active() {
-				// Below the participation floor (or nobody at all) in a
-				// run that expects attrition: a failed round, not a run
-				// error. Nothing aggregates; the global model stands.
-				stats.Failed = true
-				stats.TrainLoss = math.NaN()
-				stats.Accuracy = -1
-				emitRoundTrace(cfg.Trace, roundRecs, stats, straggler)
-				hist.Rounds = append(hist.Rounds, stats)
-				hist.TotalSeconds += stats.Makespan
-				if err := checkpointAfter(round); err != nil {
-					return finish(), fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
-				}
-				continue
-			}
-			return finish(), fmt.Errorf("fl: round %d had no participants", round)
 		}
 		if cfg.SecureAgg {
 			if len(participants) < len(sel) {
@@ -523,17 +454,16 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 			for i, c := range participants {
 				accumulateWeighted(sumW, c.net.Weights(), float64(sampleCounts[i]))
 			}
-			scaleWeights(sumW, 1/float64(total))
+			scaleWeights(sumW, 1/float64(rc.samples))
 			globalW = sumW
 		}
-		stats.TrainLoss = lossSum / float64(total)
+		stats.TrainLoss = rc.lossSum / float64(rc.samples)
 
-		// Idle the devices for the rest of the round so stragglers' heat
-		// and fast devices' cooling evolve realistically.
-		for _, cr := range stats.Clients {
-			c := clients[clientIndex(clients, cr.ClientID)]
-			if c.Device != nil {
-				c.Device.Idle(stats.Makespan - cr.ComputeS - cr.CommS)
+		// Idle the cohort's devices for the rest of the round so
+		// stragglers' heat and fast devices' cooling evolve realistically.
+		for si, i := range sel {
+			if d := active[i].Device; d != nil {
+				d.Idle(stats.Makespan - crs[si].ComputeS - crs[si].CommS)
 			}
 		}
 
@@ -544,7 +474,7 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 		} else {
 			stats.Accuracy = -1
 		}
-		emitRoundTrace(cfg.Trace, roundRecs, stats, straggler)
+		emitRoundTrace(cfg.Trace, roundRecs, stats, rc.straggler)
 		hist.Rounds = append(hist.Rounds, stats)
 		hist.TotalSeconds += stats.Makespan
 		if err := checkpointAfter(round); err != nil {
@@ -576,86 +506,27 @@ func hasNonFinite(net *nn.Network) bool {
 	return false
 }
 
-func clientIndex(clients []*Client, id int) int {
-	for i, c := range clients {
-		if c.ID == id {
-			return i
-		}
-	}
-	panic("fl: unknown client id")
-}
-
 // trainRound runs one local epoch on the client and returns its stats.
-// f is the round's injected fault: a fatal pre-upload fault (crash,
-// battery death, link flap) skips the real gradient work entirely — the
-// update would be discarded anyway, and leaving the trainer, RNG and
-// round counter untouched means a resumed run replays only completed
-// training — while still charging the simulated cost spent before the
-// failure. Corrupt clients train normally (the damage happens on the
-// wire) and are rejected by the server after the join. The fault's Slow
-// factor degrades the link for victims and survivors alike.
+// f is the round's injected fault: an aborted attempt skips the real
+// gradient work while still charging its simulated cost (see aborted).
+// The fault's Slow factor degrades the link for victims and survivors
+// alike.
 //
 // fedlint:hotpath
 func (c *Client) trainRound(cfg Config, globalW []*tensor.Tensor, modelBytes int, f fault.Fault) ClientRound {
 	n := c.Local.Len()
-	link := c.Link.Degraded(f.Slow)
-	if f.Kind == fault.Crash || f.Kind == fault.Battery || f.Kind == fault.LinkFlap {
-		cr := ClientRound{ClientID: c.ID, Samples: n, TrainLoss: -1, Fault: f.Kind}
-		if c.Device != nil {
-			e0 := c.Device.EnergyJ
-			th0 := c.Device.Throttles
-			if f.Kind == fault.LinkFlap {
-				// Full epoch computed; the link dies Point of the way
-				// through the model exchange.
-				cr.ComputeS, _ = c.Device.TrainSamples(cfg.Arch, n, cfg.BatchSize)
-				cr.CommS = f.Point * link.RoundTripTime(modelBytes)
-			} else {
-				// The process (or battery) dies Point of the way through
-				// the shard; nothing is ever transmitted.
-				cr.ComputeS, _ = c.Device.TrainSamples(cfg.Arch, int(f.Point*float64(n)), cfg.BatchSize)
-				if f.Kind == fault.Battery {
-					c.Device.DrainBattery()
-				}
-			}
-			cr.EnergyJ = c.Device.EnergyJ - e0
-			cr.Temperature = c.Device.TempC
-			cr.Throttles = c.Device.Throttles - th0
-			cr.BatteryFrac = c.Device.BatteryRemaining()
+	cr := ClientRound{ClientID: c.ID, Samples: n, TrainLoss: -1, Fault: f.Kind}
+	if !aborted(f.Kind) {
+		c.net.SetWeights(globalW)
+		c.net.ResetOpt()
+		if cfg.LRSchedule != nil {
+			c.net.SetLR(cfg.LRSchedule(c.round))
 		}
-		return cr
+		c.round++
+		cr.TrainLoss = localEpoch(c.net, c.Local, c.rng, cfg.BatchSize)
 	}
-
-	c.net.SetWeights(globalW)
-	c.net.ResetOpt()
-	if cfg.LRSchedule != nil {
-		c.net.SetLR(cfg.LRSchedule(c.round))
-	}
-	c.round++
-	c.Local.Shuffle(c.rng)
-
-	lossSum := 0.0
-	batches := 0
-	for i := 0; i < n; i += cfg.BatchSize {
-		end := i + cfg.BatchSize
-		if end > n {
-			end = n
-		}
-		x, y := c.Local.Batch(i, end)
-		lossSum += c.net.TrainBatch(x, y)
-		c.net.Step()
-		batches++
-	}
-
-	cr := ClientRound{ClientID: c.ID, Samples: n, TrainLoss: lossSum / float64(batches), Fault: f.Kind}
 	if c.Device != nil {
-		e0 := c.Device.EnergyJ
-		th0 := c.Device.Throttles
-		cr.ComputeS, _ = c.Device.TrainSamples(cfg.Arch, n, cfg.BatchSize)
-		cr.CommS = link.RoundTripTime(modelBytes)
-		cr.EnergyJ = c.Device.EnergyJ - e0
-		cr.Temperature = c.Device.TempC
-		cr.Throttles = c.Device.Throttles - th0
-		cr.BatteryFrac = c.Device.BatteryRemaining()
+		deviceStep(&cr, c.Device, cfg.Arch, n, cfg.BatchSize, f, c.Link.Degraded(f.Slow).RoundTripTime(modelBytes))
 	}
 	return cr
 }

@@ -133,6 +133,35 @@ func TestRunInputValidation(t *testing.T) {
 	}
 }
 
+// TestSyncOnlyFieldsRejected: the round-closing and checkpoint fields
+// mean something only to Run, so the async and gossip engines refuse
+// them instead of silently ignoring them.
+func TestSyncOnlyFieldsRejected(t *testing.T) {
+	train := data.SMNIST(80, 1)
+	cases := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"quorum", func(c *Config) { c.Quorum = 1 }},
+		{"min participants", func(c *Config) { c.MinParticipants = 1 }},
+		{"deadline", func(c *Config) { c.DeadlineSeconds = 5 }},
+		{"checkpoint every", func(c *Config) { c.CheckpointEvery = 1 }},
+		{"checkpoint sink", func(c *Config) { c.CheckpointSink = func(*Checkpoint) error { return nil } }},
+		{"resume", func(c *Config) { c.Resume = &Checkpoint{} }},
+	}
+	for _, c := range cases {
+		cfg := smallConfig(1)
+		c.set(&cfg)
+		clients := parallelClients(t, train, 2, false)
+		if _, err := RunAsync(AsyncConfig{Config: cfg, MaxUpdates: 1}, clients, nil); err == nil {
+			t.Errorf("%s: RunAsync accepted a sync-only field", c.name)
+		}
+		if _, err := RunGossip(GossipConfig{Config: cfg}, clients, nil); err == nil {
+			t.Errorf("%s: RunGossip accepted a sync-only field", c.name)
+		}
+	}
+}
+
 func TestTimeSimulationWiredIn(t *testing.T) {
 	train, test := data.TrainTest(data.SMNISTConfig(0, 3), 300, 100)
 	part := data.IIDEqual(train, 2, rand.New(rand.NewSource(1)))

@@ -7,7 +7,6 @@ import (
 	"fedsched/internal/data"
 	"fedsched/internal/fault"
 	"fedsched/internal/nn"
-	"fedsched/internal/sample"
 )
 
 // Topology selects the gossip communication pattern.
@@ -59,7 +58,8 @@ type GossipHistory struct {
 // trains nor exchanges that round (only its wasted time/energy is
 // simulated), and a client with a corrupted exchange trains locally but
 // is excluded from the round's pairings — its peers reject the garbage
-// model. Faulted clients do not extend the round makespan.
+// model. The round closes by the rule of DESIGN §13, with no deadline,
+// quorum or floor; those fields, and checkpoint/resume, are rejected.
 //
 // fedlint:deterministic
 // fedlint:trace KindClientRound,KindRoundSummary,KindFault
@@ -70,6 +70,9 @@ func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*Gossip
 	}
 	if err := cfg.Faults.Check(); err != nil {
 		return nil, fmt.Errorf("fl: %w", err)
+	}
+	if err := cfg.syncOnly("gossip"); err != nil {
+		return nil, err
 	}
 	var active []*Client
 	for _, c := range clients {
@@ -100,7 +103,7 @@ func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*Gossip
 	pairable := make([]int, 0, len(active))
 	clientTrace := attachClientTracers(cfg.Trace, active)
 	selIdent, selBuf, recsSel := samplerScratch(cfg.Sampler, len(active), clientTrace != nil)
-	rep, _ := cfg.Sampler.(sample.FailureReporter)
+	closer := newRoundCloser(len(active), cfg.Sampler)
 
 	for round := 0; round < cfg.Rounds; round++ {
 		if cfg.Cancel != nil && cfg.Cancel() {
@@ -133,96 +136,48 @@ func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*Gossip
 			c := active[sel[si]]
 			f := cfg.Faults.Fault(round, c.ID)
 			link := c.Link.Degraded(f.Slow)
+			n := c.Local.Len()
+			cr := &crs[si]
+			*cr = ClientRound{ClientID: c.ID, Samples: n, TrainLoss: -1, Fault: f.Kind}
 			spans[si] = 0
-			if f.Kind == fault.Crash || f.Kind == fault.Battery || f.Kind == fault.LinkFlap {
-				// Fatal fault: no real gradient work (trainer and RNG
-				// untouched — the client keeps its pre-round model), only
-				// the simulated cost of the doomed attempt.
-				n := c.Local.Len()
-				crs[si] = ClientRound{ClientID: c.ID, Samples: n, TrainLoss: -1, Fault: f.Kind}
+			if aborted(f.Kind) {
+				// The client keeps its pre-round model; a flap truncates
+				// the upload.
 				if c.Device != nil {
-					e0 := c.Device.EnergyJ
-					th0 := c.Device.Throttles
-					if f.Kind == fault.LinkFlap {
-						comp, _ := c.Device.TrainSamples(cfg.Arch, n, cfg.BatchSize)
-						crs[si].ComputeS = comp
-						crs[si].CommS = f.Point * link.UploadTime(modelBytes)
-					} else {
-						comp, _ := c.Device.TrainSamples(cfg.Arch, int(f.Point*float64(n)), cfg.BatchSize)
-						crs[si].ComputeS = comp
-						if f.Kind == fault.Battery {
-							c.Device.DrainBattery()
-						}
-					}
-					spans[si] = crs[si].ComputeS + crs[si].CommS
-					crs[si].EnergyJ = c.Device.EnergyJ - e0
-					crs[si].Temperature = c.Device.TempC
-					crs[si].Throttles = c.Device.Throttles - th0
-					crs[si].BatteryFrac = c.Device.BatteryRemaining()
+					deviceStep(cr, c.Device, cfg.Arch, n, cfg.BatchSize, f, link.UploadTime(modelBytes))
+					spans[si] = cr.ComputeS + cr.CommS
 				}
 				return
 			}
 			c.net.ResetOpt()
-			c.Local.Shuffle(c.rng)
-			n := c.Local.Len()
-			lossSum, batches := 0.0, 0
-			for s := 0; s < n; s += cfg.BatchSize {
-				end := s + cfg.BatchSize
-				if end > n {
-					end = n
-				}
-				x, y := c.Local.Batch(s, end)
-				lossSum += c.net.TrainBatch(x, y)
-				c.net.Step()
-				batches++
-			}
-			crs[si] = ClientRound{ClientID: c.ID, Samples: n, TrainLoss: lossSum / float64(batches), Fault: f.Kind}
+			cr.TrainLoss = localEpoch(c.net, c.Local, c.rng, cfg.BatchSize)
 			if c.Device != nil {
-				e0 := c.Device.EnergyJ
-				th0 := c.Device.Throttles
+				e0, th0 := c.Device.EnergyJ, c.Device.Throttles
 				comp, _ := c.Device.TrainSamples(cfg.Arch, n, cfg.BatchSize)
 				// Peer exchange: send own model, receive the peer's.
 				spans[si] = comp + link.UploadTime(modelBytes) + link.DownloadTime(modelBytes)
-				crs[si].ComputeS = comp
-				crs[si].CommS = spans[si] - comp
-				crs[si].EnergyJ = c.Device.EnergyJ - e0
-				crs[si].Temperature = c.Device.TempC
-				crs[si].Throttles = c.Device.Throttles - th0
-				crs[si].BatteryFrac = c.Device.BatteryRemaining()
+				cr.ComputeS = comp
+				cr.CommS = spans[si] - comp
+				recordDevice(cr, c.Device, e0, th0)
 			}
 		})
-		makespan := 0.0
-		straggler := -1
-		for si, s := range spans[:len(sel)] {
-			if crs[si].Fault != fault.None {
-				// A faulted client never completes its exchange, so the
-				// round does not wait for it.
-				continue
-			}
-			if s > makespan {
-				makespan = s
-				straggler = active[sel[si]].ID
-			}
-		}
+		// The round waits for its slowest clean exchange (DESIGN §13);
+		// gossip has no deadline or quorum.
+		rc := closer.closeRound(round, crs[:len(sel)], spans[:len(sel)], nil, sel, roundRule{})
 		for si, i := range sel {
 			if c := active[i]; c.Device != nil {
-				c.Device.Idle(makespan - spans[si])
+				c.Device.Idle(rc.makespan - spans[si])
 			}
 		}
-		hist.TotalSeconds += makespan
+		hist.TotalSeconds += rc.makespan
+		loss := -1.0
+		if rc.samples > 0 {
+			loss = rc.lossSum / float64(rc.samples)
+		}
 		emitRoundTrace(cfg.Trace, roundRecs, RoundStats{
-			Round: round, Makespan: makespan, Accuracy: -1, Clients: crs[:len(sel)],
-			TrainLoss: meanLoss(crs[:len(sel)]),
-		}, straggler)
-		if rep != nil {
-			for si, i := range sel {
-				if crs[si].Fault != fault.None {
-					rep.ReportFailure(i, round)
-				} else {
-					rep.ReportSuccess(i)
-				}
-			}
-		}
+			Round: round, Makespan: rc.makespan, Accuracy: -1, Clients: crs[:len(sel)],
+			TrainLoss: loss,
+		}, rc.straggler)
 
 		// Only clean clients exchange: fatal victims never sent a model,
 		// and corrupted senders are rejected by their peers. With no fault

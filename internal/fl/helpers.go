@@ -22,16 +22,7 @@ func Centralized(cfg Config, train, test *data.Dataset) (float64, error) {
 	tr := nn.NewTrainer(cfg.Precision, cfg.Arch, rng, cfg.LR, cfg.Momentum)
 	local := train.Subset(seq(train.Len())) // private copy; Run shuffles in place
 	for e := 0; e < cfg.Rounds; e++ {
-		local.Shuffle(rng)
-		for i := 0; i < local.Len(); i += cfg.BatchSize {
-			end := i + cfg.BatchSize
-			if end > local.Len() {
-				end = local.Len()
-			}
-			x, y := local.Batch(i, end)
-			tr.TrainBatch(x, y)
-			tr.Step()
-		}
+		localEpoch(tr, local, rng, cfg.BatchSize)
 	}
 	return Evaluate(tr.EvalNetwork(), test, 256), nil
 }
@@ -97,26 +88,23 @@ func SimulateRoundsTraced(arch *nn.Arch, devices []*device.Device, links []netwo
 	bytes := arch.SizeBytes()
 	spans := make([]float64, 0, rounds)
 	crs := make([]ClientRound, len(devices))
+	times := make([]float64, len(devices))
 	for r := 0; r < rounds; r++ {
 		makespan := 0.0
 		straggler := -1
-		times := make([]float64, len(devices))
 		for i, dev := range devices {
 			crs[i] = ClientRound{ClientID: i, Samples: samples[i], BatteryFrac: dev.BatteryRemaining(), Temperature: dev.TempC}
+			times[i] = 0
 			if samples[i] <= 0 {
 				continue
 			}
-			e0 := dev.EnergyJ
-			th0 := dev.Throttles
+			e0, th0 := dev.EnergyJ, dev.Throttles
 			comp, _ := dev.TrainSamples(arch, samples[i], batch)
 			t := comp + links[i].RoundTripTime(bytes)
 			times[i] = t
 			crs[i].ComputeS = comp
 			crs[i].CommS = t - comp
-			crs[i].EnergyJ = dev.EnergyJ - e0
-			crs[i].Temperature = dev.TempC
-			crs[i].Throttles = dev.Throttles - th0
-			crs[i].BatteryFrac = dev.BatteryRemaining()
+			recordDevice(&crs[i], dev, e0, th0)
 			if t > makespan {
 				makespan = t
 				straggler = i

@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"fedsched/internal/device"
 	"fedsched/internal/fault"
@@ -58,14 +57,10 @@ type PopulationConfig struct {
 	// slots burn simulated time and energy but never count as
 	// participants.
 	Faults *fault.Plan
-	// Quorum, when positive, closes the round after the first Quorum
-	// surviving slots ordered by realized span (ties by client id);
-	// later survivors are flagged late and dropped. Pair it with an
-	// over-selecting Sampler so faults eat the margin, not the round.
-	Quorum int
-	// MinParticipants, when positive, marks rounds that aggregate fewer
-	// surviving slots as failed (PopulationRound.Failed) — the
-	// minimum-participation floor of production FL.
+	// Quorum and MinParticipants close each round as in Config (the
+	// rule is in DESIGN §13). Pair Quorum with an over-selecting
+	// Sampler so faults eat the margin, not the round.
+	Quorum          int
 	MinParticipants int
 	// Trace, when non-nil, receives solver probes, per-user schedule
 	// events, per-client round events and round summaries — the same
@@ -113,8 +108,7 @@ type PopulationRound struct {
 	EnergyJ   float64
 	Throttles int
 	// Faulted and Late count cohort slots lost to injected faults and to
-	// the quorum cut; Failed marks a round that closed below
-	// MinParticipants (or with no survivors under a fault plan).
+	// the quorum cut; Failed marks a short round (DESIGN §13).
 	Faulted int
 	Late    int
 	Failed  bool
@@ -162,8 +156,6 @@ type PopulationRunner struct {
 	comm       float64 // per-round communication seconds (uniform link)
 	modelBytes int
 
-	rep sample.FailureReporter // cfg.Sampler, if failure-aware
-
 	// Cohort-sized scratch, reused every round.
 	cohort []int
 	devs   []device.Device
@@ -172,31 +164,8 @@ type PopulationRunner struct {
 	uptrs  []*sched.User
 	crs    []ClientRound
 	spans  []float64
-	order  []int             // quorum ordering scratch
-	sorter spanOrder         // closure-free sorter over order
+	closer *roundCloser
 	rings  []*trace.Recorder // per-slot event rings (tracing only)
-}
-
-// spanOrder sorts slot indices by (realized span asc, client id asc) via
-// a pointer receiver and pre-bound slices — no closures, so the quorum
-// cut stays allocation-free inside the hot Round path.
-type spanOrder struct {
-	idx   []int
-	spans []float64
-	crs   []ClientRound
-}
-
-func (s *spanOrder) Len() int      { return len(s.idx) }
-func (s *spanOrder) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-func (s *spanOrder) Less(a, b int) bool {
-	x, y := s.idx[a], s.idx[b]
-	if s.spans[x] < s.spans[y] {
-		return true
-	}
-	if s.spans[y] < s.spans[x] {
-		return false
-	}
-	return s.crs[x].ClientID < s.crs[y].ClientID
 }
 
 // NewPopulationRunner validates the config, profiles the archetypes
@@ -238,11 +207,8 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 		uptrs:      make([]*sched.User, k),
 		crs:        make([]ClientRound, k),
 		spans:      make([]float64, k),
-		order:      make([]int, k),
+		closer:     newRoundCloser(k, cfg.Sampler),
 	}
-	r.rep, _ = cfg.Sampler.(sample.FailureReporter)
-	r.sorter.spans = r.spans
-	r.sorter.crs = r.crs
 	r.comm = cfg.Link.RoundTripTime(r.modelBytes)
 
 	// One offline profile per archetype, shared between archetypes with
@@ -371,93 +337,19 @@ func (r *PopulationRunner) Round(round int) (PopulationRound, error) {
 		f := cfg.Faults.Fault(round, r.cohort[i])
 		cr := &r.crs[i]
 		cr.Fault = f.Kind
-		e0 := d.EnergyJ
-		th0 := d.Throttles
-		switch f.Kind {
-		case fault.Crash, fault.Battery:
-			// Died Point of the way through its assignment: partial
-			// compute spent, nothing transmitted.
-			cr.ComputeS, _ = d.TrainSamples(cfg.Arch, int(f.Point*float64(samples)), cfg.BatchSize)
-			if f.Kind == fault.Battery {
-				d.DrainBattery()
-			}
-		case fault.LinkFlap:
-			// Full assignment computed; the link dies Point of the way
-			// through the (possibly degraded) model exchange.
-			cr.ComputeS, _ = d.TrainSamples(cfg.Arch, samples, cfg.BatchSize)
-			cr.CommS = f.Point * cfg.Link.Degraded(f.Slow).RoundTripTime(r.modelBytes)
-		default:
-			cr.ComputeS, _ = d.TrainSamples(cfg.Arch, samples, cfg.BatchSize)
-			cr.CommS = cfg.Link.Degraded(f.Slow).RoundTripTime(r.modelBytes)
-		}
+		deviceStep(cr, d, cfg.Arch, samples, cfg.BatchSize, f, cfg.Link.Degraded(f.Slow).RoundTripTime(r.modelBytes))
 		r.spans[i] = cr.ComputeS + cr.CommS
-		cr.EnergyJ = d.EnergyJ - e0
-		cr.Temperature = d.TempC
-		cr.Throttles = d.Throttles - th0
-		cr.BatteryFrac = d.BatteryRemaining()
 	})
 
-	// Quorum cut: collect surviving worked slots in (span, client id)
-	// order and flag everything beyond the first Quorum as late. The
-	// sorter and order scratch live on the runner, so the cut allocates
-	// nothing.
-	if cfg.Quorum > 0 {
-		n := 0
-		for i := 0; i < k; i++ {
-			if r.crs[i].Samples > 0 && r.crs[i].Fault == fault.None {
-				r.order[n] = i
-				n++
-			}
-		}
-		if n > cfg.Quorum {
-			r.sorter.idx = r.order[:n]
-			sort.Sort(&r.sorter)
-			for _, i := range r.order[cfg.Quorum:n] {
-				r.crs[i].Late = true
-			}
-		}
-	}
-
-	// Streaming reduction, one pass in slot order after the join.
-	// Faulted and late slots never participate and do not extend the
-	// makespan (the round closes without them); their wasted energy and
-	// throttles still count.
-	for i := 0; i < k; i++ {
-		cr := &r.crs[i]
-		if cr.Fault != fault.None {
-			pr.Faulted++
-		} else if cr.Late {
-			pr.Late++
-		} else if cr.Samples > 0 {
-			pr.Participants++
-			pr.Samples += cr.Samples
-			if r.spans[i] > pr.MakespanS {
-				pr.MakespanS = r.spans[i]
-				pr.Straggler = cr.ClientID
-			}
-		}
-		pr.EnergyJ += cr.EnergyJ
-		pr.Throttles += cr.Throttles
-	}
-	if (cfg.MinParticipants > 0 && pr.Participants < cfg.MinParticipants) ||
-		(pr.Participants == 0 && cfg.Faults.Active()) {
-		pr.Failed = true
-	}
-
-	// Feed outcomes back to a failure-aware sampler, in slot order.
-	if r.rep != nil {
-		for i := 0; i < k; i++ {
-			cr := &r.crs[i]
-			if cr.Samples <= 0 {
-				continue // unscheduled slots neither failed nor succeeded
-			}
-			if cr.Fault != fault.None {
-				r.rep.ReportFailure(cr.ClientID, round)
-			} else {
-				r.rep.ReportSuccess(cr.ClientID)
-			}
-		}
-	}
+	rc := r.closer.closeRound(round, r.crs[:k], r.spans[:k], nil, r.cohort, roundRule{
+		quorum: cfg.Quorum, minParticipants: cfg.MinParticipants,
+	})
+	pr.Participants, pr.Samples = rc.participants, rc.samples
+	pr.MakespanS, pr.Straggler = rc.makespan, rc.straggler
+	pr.EnergyJ, pr.Throttles = rc.energyJ, rc.throttles
+	pr.Faulted, pr.Late = rc.faulted, rc.late
+	// Without a floor, only a fault plan makes an empty round Failed.
+	pr.Failed = rc.short && (cfg.MinParticipants > 0 || cfg.Faults.Active())
 
 	if cfg.Trace != nil {
 		emitRoundTrace(cfg.Trace, r.rings[:k], RoundStats{

@@ -33,25 +33,6 @@ func attachClientTracers(root *trace.Recorder, active []*Client) []*trace.Record
 	return recs
 }
 
-// meanLoss is the sample-weighted mean local training loss over a
-// round's clients — what engines without a server-side loss (gossip)
-// report in the round summary. Faulted clients have no meaningful loss
-// and are skipped.
-func meanLoss(crs []ClientRound) float64 {
-	sum, n := 0.0, 0
-	for _, cr := range crs {
-		if cr.Fault != fault.None {
-			continue
-		}
-		sum += cr.TrainLoss * float64(cr.Samples)
-		n += cr.Samples
-	}
-	if n == 0 {
-		return -1
-	}
-	return sum / float64(n)
-}
-
 // emitRoundTrace merges one finished round into the run trace: per-client
 // throttle rings (drained in client order, stamped with the round), one
 // KindClientRound event per participant — immediately followed by a

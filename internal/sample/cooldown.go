@@ -3,12 +3,10 @@ package sample
 import "sort"
 
 // FailureReporter is implemented by samplers that track per-client
-// failure state. After each round's join the engines report every cohort
-// member's outcome: ReportFailure for clients whose update was lost or
-// rejected (injected faults, deadline drops, divergence), ReportSuccess
-// for clients that delivered a usable update (including late-but-finished
-// ones). Reports arrive in deterministic cohort order on the engine
-// goroutine.
+// failure state. After each round's join the engines report every
+// scheduled cohort member's outcome — which outcomes count as failures
+// is the round-closing rule of DESIGN §13. Reports arrive in
+// deterministic cohort order on the engine goroutine.
 type FailureReporter interface {
 	ReportFailure(client, round int)
 	ReportSuccess(client int)

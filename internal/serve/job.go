@@ -65,6 +65,8 @@ type JobConfig struct {
 	CohortSize int `json:"cohort_size,omitempty"`
 	// Faults is a fault-scenario spec, e.g. "crash=0.1,flap=0.05"
 	// (internal/fault); FaultSeed 0 derives the plan seed from Seed.
+	// Quorum, MinParticipants and DeadlineSeconds close synchronous
+	// rounds (fl.Config) and are rejected on async and gossip jobs.
 	Faults          string  `json:"faults,omitempty"`
 	FaultSeed       int64   `json:"fault_seed,omitempty"`
 	Quorum          int     `json:"quorum,omitempty"`
@@ -170,6 +172,9 @@ func (c JobConfig) Validate() error {
 	}
 	if c.Quorum < 0 || c.MinParticipants < 0 || c.DeadlineSeconds < 0 {
 		return fmt.Errorf("quorum, min_participants and deadline_seconds must be >= 0")
+	}
+	if c.Engine != "sync" && (c.Quorum > 0 || c.MinParticipants > 0 || c.DeadlineSeconds > 0) {
+		return fmt.Errorf("quorum, min_participants and deadline_seconds only apply to sync jobs")
 	}
 	if _, err := nn.ParsePrecision(c.Precision); err != nil {
 		return err

@@ -176,6 +176,12 @@ func TestMalformedConfigsRejected(t *testing.T) {
 		`{"max_updates":5}`,
 		`{"scheduler":"fedlbap"}`,
 		`{"samples":5}`,
+		`{"engine":"async","quorum":2}`,
+		`{"engine":"async","min_participants":1}`,
+		`{"engine":"async","deadline_seconds":5}`,
+		`{"engine":"gossip","quorum":2}`,
+		`{"engine":"gossip","min_participants":1}`,
+		`{"engine":"gossip","deadline_seconds":5}`,
 	}
 	for _, body := range bad {
 		_, resp := submit(t, ts, body)
